@@ -8,7 +8,7 @@ BayesPerfEstimator::ensureRun(const sim::PerfResult &run) const
 {
     if (cachedKey_ == &run)
         return;
-    cached_ = engine_.infer(run);
+    cached_ = core::replayRun(uarch_, run, config_);
     cachedKey_ = &run;
 }
 

@@ -24,7 +24,7 @@ class BayesPerfEstimator : public Estimator
   public:
     BayesPerfEstimator(const sim::MicroarchDescriptor &uarch,
                        core::InferenceConfig config = {})
-        : uarch_(uarch), engine_(uarch, config)
+        : uarch_(uarch), config_(config)
     {
     }
 
@@ -37,14 +37,11 @@ class BayesPerfEstimator : public Estimator
     std::vector<double> uncertainty(const sim::PerfResult &run,
                                     sim::EventId event) const;
 
-    /** Wall-clock inference seconds of the cached run. */
-    double lastWallSeconds() const { return cached_.wallSeconds; }
-
   private:
     void ensureRun(const sim::PerfResult &run) const;
 
     const sim::MicroarchDescriptor &uarch_;
-    core::InferenceEngine engine_;
+    core::InferenceConfig config_;
     mutable const sim::PerfResult *cachedKey_ = nullptr;
     mutable core::InferenceResult cached_;
 };

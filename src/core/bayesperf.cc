@@ -55,8 +55,7 @@ BayesPerfSession::measure(const sim::TruthTrace &truth)
     sim::PerfSession session(uarch_, config_.perf);
     run.raw = session.run(truth, monitored_, run.schedule.configs);
 
-    InferenceEngine engine(uarch_, config_.inference);
-    run.posterior = engine.infer(run.raw);
+    run.posterior = replayRun(uarch_, run.raw, config_.inference);
     return run;
 }
 

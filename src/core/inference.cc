@@ -247,7 +247,6 @@ WindowedInference::runWindow(std::size_t w_len)
     epRank1Updates_ += ep_result.rank1Updates;
     epFullSolves_ += ep_result.fullSolves;
     epBlockFlushes_ += ep_result.blockFlushes;
-    epDeferredUpdates_ += ep_result.deferredUpdates;
     epSkippedUpdates_ += ep_result.skippedUpdates;
 
     // Record every covered slice; later (more contextual) windows
@@ -303,7 +302,6 @@ WindowedInference::runWindow(std::size_t w_len)
     const double window_seconds =
         std::chrono::duration<double>(t_end - t_start).count();
     inferSeconds_ += window_seconds;
-    pendingWindowSeconds_.push_back(window_seconds);
 
     // Hand the completed window to the execution backend.  The
     // posterior above is final either way; the backend only decides
@@ -318,12 +316,6 @@ WindowedInference::runWindow(std::size_t w_len)
                        .factorsOfKind(graph::FactorKind::StudentT)
                        .size();
     job.numSweeps = ep_result.sweeps;
-    // Partitioned runs share their plan with the backend so simulated
-    // accelerator engines split the window along the same bands.
-    if (config_.ep.partitions > 1 &&
-        epWorkspace_.partitionPlan().numPartitions > 1)
-        job.maxPartitionSites =
-            epWorkspace_.partitionPlan().maxPartitionSites();
     // Streamed inputs: per-site window reads + per-variable g(theta).
     job.inputBytes = 24 * job.numSites + 8 * job.numVariables;
     job.hostSeconds = window_seconds;
@@ -337,6 +329,7 @@ WindowedInference::runWindow(std::size_t w_len)
         exec.modeledSeconds = window_seconds;
     }
     exec.windowOrdinal = windowsRun_;
+    exec.hostSeconds = job.hostSeconds;
     if (telemetry::enabled()) {
         exec.span.traceId = telemetry::nextTraceId();
         exec.span.ingestNanos = recIngestNanos_;
@@ -371,14 +364,6 @@ WindowedInference::runWindow(std::size_t w_len)
     }
 }
 
-std::vector<double>
-WindowedInference::takeWindowSeconds()
-{
-    std::vector<double> out = std::move(pendingWindowSeconds_);
-    pendingWindowSeconds_.clear();
-    return out;
-}
-
 std::vector<WindowExecution>
 WindowedInference::takeWindowExecutions()
 {
@@ -401,7 +386,6 @@ WindowedInference::takeResult()
     result.epRank1Updates = epRank1Updates_;
     result.epFullSolves = epFullSolves_;
     result.epBlockFlushes = epBlockFlushes_;
-    result.epDeferredUpdates = epDeferredUpdates_;
     result.epSkippedUpdates = epSkippedUpdates_;
     result.wallSeconds = inferSeconds_;
     result.epWorkspaceAllocations = epWorkspace_.totalAllocations();
@@ -417,14 +401,9 @@ WindowedInference::takeResult()
     return result;
 }
 
-InferenceEngine::InferenceEngine(const sim::MicroarchDescriptor &uarch,
-                                 InferenceConfig config)
-    : uarch_(uarch), config_(config)
-{
-}
-
 InferenceResult
-InferenceEngine::infer(const sim::PerfResult &measurements) const
+replayRun(const sim::MicroarchDescriptor &uarch,
+          const sim::PerfResult &measurements, const InferenceConfig &config)
 {
     const auto t_start = std::chrono::steady_clock::now();
 
@@ -432,7 +411,7 @@ InferenceEngine::infer(const sim::PerfResult &measurements) const
     bp_assert(!events.empty(), "nothing to infer");
     const std::size_t num_slices = measurements.traces.front().slices.size();
 
-    WindowedInference streaming(uarch_, events, config_,
+    WindowedInference streaming(uarch, events, config,
                                 measurements.schedule.size());
     SliceMeasurements slice(events.size());
     for (std::size_t t = 0; t < num_slices; ++t) {

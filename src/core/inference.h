@@ -8,14 +8,12 @@
  * prior — the compositional chaining of inference across time slices
  * that the paper describes.
  *
- * Two entry points share one window runner:
- *   - WindowedInference consumes slices incrementally (push/finish)
- *     and only ever buffers the last window's worth of measurements —
- *     the streaming form the monitoring service (src/service/) runs on
- *     live sessions;
- *   - InferenceEngine::infer replays a complete measurement run
- *     through the same streaming path, so batch and streaming
- *     posteriors are identical by construction.
+ * WindowedInference is the one engine: it consumes slices
+ * incrementally (push/finish) and only ever buffers the last window's
+ * worth of measurements — the streaming form the monitoring service
+ * (src/service/) runs on live sessions.  replayRun() pushes a complete
+ * measurement run through it, so batch and streaming posteriors are
+ * identical by construction.
  */
 
 #ifndef BPERF_CORE_INFERENCE_H
@@ -106,8 +104,9 @@ struct InferenceResult
     std::size_t epRank1Updates = 0;
     std::size_t epFullSolves = 0;
     std::size_t epBlockFlushes = 0;
-    std::size_t epDeferredUpdates = 0;
     std::size_t epSkippedUpdates = 0;
+    /** Wall time of the run: the whole replay under replayRun(), the
+     * summed window EP time from WindowedInference::takeResult(). */
     double wallSeconds = 0.0;
     /**
      * Cumulative EpWorkspace buffer growths across the run's windows.
@@ -292,12 +291,9 @@ class WindowedInference
     /** Cumulative wall time spent inside window EP runs. */
     double inferSeconds() const { return inferSeconds_; }
 
-    /** Wall time of each window run since the last call (latency
-     * sampling hook for the service's statistics). */
-    std::vector<double> takeWindowSeconds();
-
-    /** Modeled backend execution of each window run since the last
-     * call (the service's modeled-latency statistics hook). */
+    /** Backend execution of each window run since the last call,
+     * with its measured host EP time (the service's per-window
+     * latency statistics hook). */
     std::vector<WindowExecution> takeWindowExecutions();
 
     /** Assemble the run's result (moves the retained posterior
@@ -357,10 +353,8 @@ class WindowedInference
     std::size_t epRank1Updates_ = 0;
     std::size_t epFullSolves_ = 0;
     std::size_t epBlockFlushes_ = 0;
-    std::size_t epDeferredUpdates_ = 0;
     std::size_t epSkippedUpdates_ = 0;
     double inferSeconds_ = 0.0;
-    std::vector<double> pendingWindowSeconds_;
 
     /** Per-window backend executions: the full run (for takeResult)
      * and the tail not yet taken by takeWindowExecutions(). */
@@ -369,24 +363,13 @@ class WindowedInference
 };
 
 /**
- * Runs BayesPerf inference over a complete measurement run by
- * replaying it through the streaming engine.
+ * Infer posteriors for every monitored event at every slice of a
+ * complete measurement run, by replaying it slice by slice through a
+ * WindowedInference.  result.wallSeconds covers the whole replay.
  */
-class InferenceEngine
-{
-  public:
-    InferenceEngine(const sim::MicroarchDescriptor &uarch,
-                    InferenceConfig config = {});
-
-    /** Infer posteriors for every monitored event at every slice. */
-    InferenceResult infer(const sim::PerfResult &measurements) const;
-
-    const InferenceConfig &config() const { return config_; }
-
-  private:
-    const sim::MicroarchDescriptor &uarch_;
-    InferenceConfig config_;
-};
+InferenceResult replayRun(const sim::MicroarchDescriptor &uarch,
+                          const sim::PerfResult &measurements,
+                          const InferenceConfig &config = {});
 
 } // namespace core
 } // namespace bperf

@@ -126,15 +126,12 @@ Session::finishStream()
 void
 Session::harvestWindows()
 {
-    const std::vector<double> window_seconds =
-        inference_.takeWindowSeconds();
     const std::vector<core::WindowExecution> executions =
         inference_.takeWindowExecutions();
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        for (double seconds : window_seconds)
-            stats_.windowSeconds.push(seconds);
         for (const auto &exec : executions) {
+            stats_.windowSeconds.push(exec.hostSeconds);
             stats_.modeledWindowSeconds.push(exec.modeledSeconds);
             stats_.backendQueueSeconds.push(exec.queueWaitSeconds);
         }

@@ -1,6 +1,7 @@
 #include "service/slice_assembler.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
@@ -24,6 +25,19 @@ recordsRejectedCounter()
     static telemetry::Counter &c =
         telemetry::MetricsRegistry::global().counter("records.rejected");
     return c;
+}
+
+/**
+ * A record whose fields would poison the posterior: a non-finite
+ * count or duty-cycle time, negative running time, or running time
+ * beyond enabled time (a duty cycle above 1).
+ */
+bool
+malformed(const sim::PerfRecord &rec)
+{
+    return !std::isfinite(rec.value) || !std::isfinite(rec.timeEnabled) ||
+           !std::isfinite(rec.timeRunning) || rec.timeRunning < 0.0 ||
+           rec.timeRunning > rec.timeEnabled;
 }
 
 } // namespace
@@ -69,7 +83,7 @@ SliceAssembler::feed(const sim::PerfRecord &rec,
 {
     const std::size_t idx =
         rec.event < eventIndex_.size() ? eventIndex_[rec.event] : SIZE_MAX;
-    if (idx == SIZE_MAX || rec.slice < frontSlice_ ||
+    if (idx == SIZE_MAX || malformed(rec) || rec.slice < frontSlice_ ||
         (open_ && rec.slice < curSlice_)) {
         ++rejected_;
         recordsRejectedCounter().add();

@@ -51,8 +51,11 @@ class SliceAssembler
      * the slice index stays a wall-clock time base.  Returns the
      * number of slices appended.
      *
-     * Records for unknown events or for slices older than the current
-     * assembly front are counted as rejected and dropped.
+     * Records for unknown events, for slices older than the current
+     * assembly front, or with malformed fields (non-finite value or
+     * times, timeRunning < 0 or > timeEnabled) are counted as
+     * rejected and dropped; a rejected record never pins the stream
+     * origin.
      */
     std::size_t feed(const sim::PerfRecord &rec,
                      std::vector<core::SliceMeasurements> &out);

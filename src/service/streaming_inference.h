@@ -8,7 +8,7 @@
  * window carried forward as the next window's prior.  This is the
  * inference unit the monitoring service runs per session; it processes
  * a live stream with O(window) measurement memory instead of requiring
- * the whole trace like the batch InferenceEngine.
+ * the whole trace like a batch core::replayRun.
  */
 
 #ifndef BPERF_SERVICE_STREAMING_INFERENCE_H
@@ -75,43 +75,20 @@ class StreamingInference
         return engine_.events();
     }
 
-    /** Posterior of `event` at the most recent inferred slice. */
-    core::PosteriorPoint latest(sim::EventId event) const;
-
     /** Slice-level streaming engine (posterior series, counters). */
     const core::WindowedInference &engine() const { return engine_; }
 
-    /** Per-window EP wall times since the last call (stats hook). */
-    std::vector<double> takeWindowSeconds()
-    {
-        return engine_.takeWindowSeconds();
-    }
-
-    /** Per-window modeled backend executions since the last call. */
+    /** Per-window backend executions since the last call. */
     std::vector<core::WindowExecution> takeWindowExecutions()
     {
         return engine_.takeWindowExecutions();
     }
 
-    std::uint64_t recordsConsumed() const
-    {
-        return assembler_.recordsAccepted();
-    }
     std::uint64_t recordsRejected() const
     {
         return assembler_.recordsRejected();
     }
     std::size_t slicesAssembled() const { return engine_.slicesSeen(); }
-
-    /**
-     * Buffer-growth events of the session's reused EP workspace;
-     * constant once the session reaches steady state (allocation-free
-     * window solves).
-     */
-    std::size_t epWorkspaceAllocations() const
-    {
-        return engine_.epWorkspaceAllocations();
-    }
 
     /** Assemble the session's full posterior result (destructive). */
     core::InferenceResult takeResult() { return engine_.takeResult(); }

@@ -194,13 +194,13 @@ TEST(AccelBackend, PosteriorsIdenticalToHostPath)
     core::InferenceConfig host_cfg;
     host_cfg.windowSlices = 6;
     const core::InferenceResult host =
-        core::InferenceEngine(uarch(), host_cfg).infer(run);
+        core::replayRun(uarch(), run, host_cfg);
 
     accel::AccelBackend backend(accel::AccelBackendConfig{});
     core::InferenceConfig accel_cfg = host_cfg;
     accel_cfg.backend = &backend;
     const core::InferenceResult accel =
-        core::InferenceEngine(uarch(), accel_cfg).infer(run);
+        core::replayRun(uarch(), run, accel_cfg);
 
     EXPECT_EQ(host.backendName, "host");
     EXPECT_EQ(accel.backendName, "accel-capi");
@@ -262,8 +262,12 @@ TEST(AccelBackend, ServiceSelectsAndSharesTheBackend)
             EXPECT_EQ(accel_mean[t], host_mean[t]);
     }
 
-    // The session's modeled-latency statistics cover every window.
+    // The session's latency statistics cover every window: modeled
+    // time, and the measured host EP time that travels with each
+    // window's execution even when the backend is modeled.
     EXPECT_EQ(accel_report.stats.modeledWindowSeconds.count(),
+              accel_report.stats.windowsRun);
+    EXPECT_EQ(accel_report.stats.windowSeconds.count(),
               accel_report.stats.windowsRun);
     // On the host path modeled == measured, window for window.
     EXPECT_DOUBLE_EQ(host_report.stats.modeledWindowSeconds.mean(),

@@ -90,10 +90,8 @@ TEST(JsonWriter, EpWindowBenchSchemaIsValid)
         .field("joint_size", 78)
         .field("quad_kernel", "avx2")
         .field("block_size", 8)
-        .field("partitions", 2)
         .field("us_per_window_fast", 730.5)
         .field("us_per_window_scalar", 4500.0)
-        .field("us_per_window_partitioned", 3100.0)
         .field("us_per_window_dense", 45000.25)
         .field("us_per_window_mcmc", 30000.0)
         .field("speedup_fast_vs_dense", 16.66)

@@ -126,8 +126,8 @@ TEST(WindowedInference, StreamingMatchesBatchSliceLevel)
     const auto monitored = monitoredSet();
     const auto run = measuredRun(monitored, 24, 101);
 
-    core::InferenceEngine engine(uarch(), testInference());
-    const core::InferenceResult batch = engine.infer(run);
+    const core::InferenceResult batch =
+        core::replayRun(uarch(), run, testInference());
 
     core::WindowedInference streaming(uarch(), monitored, testInference(),
                                       run.schedule.size());
@@ -182,8 +182,8 @@ TEST(WindowedInference, SteadyStateWindowsReuseEpWorkspace)
 
     // Batch replays the same stream through the same engine type, so
     // its result reports the identical reuse counter.
-    core::InferenceEngine engine(uarch(), testInference());
-    const core::InferenceResult batch = engine.infer(run);
+    const core::InferenceResult batch =
+        core::replayRun(uarch(), run, testInference());
     EXPECT_EQ(batch.epWorkspaceAllocations, warm_allocs);
 }
 
@@ -192,8 +192,8 @@ TEST(WindowedInference, BoundedRetentionKeepsMatchingTail)
     const auto monitored = monitoredSet();
     const auto run = measuredRun(monitored, 24, 303);
 
-    core::InferenceEngine engine(uarch(), testInference());
-    const core::InferenceResult batch = engine.infer(run);
+    const core::InferenceResult batch =
+        core::replayRun(uarch(), run, testInference());
 
     core::InferenceConfig bounded = testInference();
     bounded.retainSlices = 8;
@@ -242,8 +242,8 @@ TEST(MonitorService, StreamingMatchesBatchThroughDaemon)
     const auto report = daemon.close(id);
     ASSERT_TRUE(report.has_value());
 
-    core::InferenceEngine engine(uarch(), testInference());
-    const core::InferenceResult batch = engine.infer(run);
+    const core::InferenceResult batch =
+        core::replayRun(uarch(), run, testInference());
 
     // The record stream carries the full measurement (every PMI
     // window read), so the streamed posterior must match whole-trace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "service/slice_assembler.h"
@@ -176,6 +177,62 @@ TEST(SliceAssemblerEdge, DutyCycleMetadataTracksLastRead)
     EXPECT_DOUBLE_EQ(out[0][0].timeEnabled, 2.0);
     EXPECT_DOUBLE_EQ(out[0][0].timeRunning, 0.75);
     EXPECT_DOUBLE_EQ(out[0][0].rawCount, 10.0);
+}
+
+TEST(SliceAssemblerEdge, MalformedRecordsRejectedBeforeAnyEffect)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // Each record would poison the posterior: a non-finite count or
+    // time, or a running time outside [0, enabled].
+    const std::vector<sim::PerfRecord> bad = {
+        rec(3, 5, nan),
+        rec(3, 5, inf),
+        rec(3, 5, -inf),
+        rec(3, 5, 7.0, nan, 0.5),
+        rec(3, 5, 7.0, inf, 0.5),
+        rec(3, 5, 7.0, 1.0, nan),
+        rec(3, 5, 7.0, 1.0, -inf),
+        rec(3, 5, 7.0, 1.0, -0.25),
+        rec(3, 5, 7.0, 0.5, 1.0), // running > enabled
+    };
+
+    // Rejected before it can pin the stream origin: the first good
+    // record (slice 8) still defines where the stream starts.
+    SliceAssembler assembler({5}, /*align_to_first_record=*/true);
+    std::vector<core::SliceMeasurements> out;
+    std::uint64_t rejected = 0;
+    for (const sim::PerfRecord &r : bad) {
+        EXPECT_EQ(assembler.feed(r, out), 0u);
+        EXPECT_EQ(assembler.recordsRejected(), ++rejected);
+    }
+    EXPECT_EQ(assembler.recordsAccepted(), 0u);
+    EXPECT_TRUE(out.empty());
+
+    EXPECT_EQ(assembler.feed(rec(8, 5, 10.0), out), 0u);
+    EXPECT_EQ(assembler.originSlice(), 8u);
+    // Inside an open slice, a bad read is dropped without touching
+    // the sample under assembly.
+    for (const sim::PerfRecord &r : bad) {
+        sim::PerfRecord late = r;
+        late.slice = 8;
+        EXPECT_EQ(assembler.feed(late, out), 0u);
+        EXPECT_EQ(assembler.recordsRejected(), ++rejected);
+    }
+    // running == enabled is a full-duty read, not an inverted one.
+    EXPECT_EQ(assembler.feed(rec(8, 5, 14.0, 1.0, 1.0), out), 0u);
+    EXPECT_EQ(assembler.flush(out), 1u);
+
+    ASSERT_EQ(out.size(), 1u);
+    const sim::SliceSample &sample = out[0][0];
+    EXPECT_TRUE(sample.observed);
+    ASSERT_EQ(sample.windows.size(), 2u);
+    EXPECT_DOUBLE_EQ(sample.windows[0], 10.0);
+    EXPECT_DOUBLE_EQ(sample.windows[1], 14.0);
+    EXPECT_DOUBLE_EQ(sample.rawCount, 24.0);
+    EXPECT_DOUBLE_EQ(sample.timeEnabled, 1.0);
+    EXPECT_DOUBLE_EQ(sample.timeRunning, 1.0);
+    EXPECT_EQ(assembler.recordsAccepted(), 2u);
 }
 
 } // namespace
