@@ -224,17 +224,10 @@ main()
         static_cast<double>(nowNanos() - w0) /
         static_cast<double>(kPublishes);
 
-    // Uncontended reads (writer idle) — checksums verified (default).
+    // Uncontended reads (writer idle).
     const ReadBenchResult uncontended = timeReads(reader, kDirectReads);
 
-    // The same reads with verification off: the v2 integrity tax is
-    // the delta between these two paths.
-    shim::SnapshotReader raw_reader(region);
-    raw_reader.setVerifyChecksums(false);
-    const ReadBenchResult uncontended_raw =
-        timeReads(raw_reader, kDirectReads);
-
-    // Reads against a hammering writer, verify on and off.
+    // Reads against a hammering writer.
     std::atomic<bool> stop{false};
     std::thread writer([&] {
         std::uint64_t w = kPublishes;
@@ -245,17 +238,11 @@ main()
         }
     });
     const ReadBenchResult hammered = timeReads(reader, kDirectReads);
-    const ReadBenchResult hammered_raw =
-        timeReads(raw_reader, kDirectReads);
     stop.store(true);
     writer.join();
 
-    const auto overhead_pct = [](double with, double without) {
-        return without > 0.0 ? 100.0 * (with - without) / without : 0.0;
-    };
     const std::uint64_t corrupt_reads =
-        uncontended.corruptReads + hammered.corruptReads +
-        uncontended_raw.corruptReads + hammered_raw.corruptReads;
+        uncontended.corruptReads + hammered.corruptReads;
 
     // --------------------------------------------- 2+3. service run
     // Identical single-tenant replays with the shim off vs on; with
@@ -381,31 +368,16 @@ main()
     table.addRow("read (idle writer)",
                  {uncontended.latency.p50, uncontended.latency.p99,
                   uncontended.latency.max, uncontended.staleness.mean});
-    table.addRow("read (idle, no verify)",
-                 {uncontended_raw.latency.p50,
-                  uncontended_raw.latency.p99,
-                  uncontended_raw.latency.max,
-                  uncontended_raw.staleness.mean});
     table.addRow("read (hammered)",
                  {hammered.latency.p50, hammered.latency.p99,
                   hammered.latency.max, hammered.staleness.mean});
-    table.addRow("read (hammered, no verify)",
-                 {hammered_raw.latency.p50, hammered_raw.latency.p99,
-                  hammered_raw.latency.max,
-                  hammered_raw.staleness.mean});
     table.addRow("subscription callback",
                  {service_result.callbackLag.p50,
                   service_result.callbackLag.p99,
                   service_result.callbackLag.max,
                   service_result.shimAge.mean});
     table.print(std::cout);
-    std::cout << "checksum verify tax (uncontended): p50 "
-              << overhead_pct(uncontended.latency.p50,
-                              uncontended_raw.latency.p50)
-              << "% p99 "
-              << overhead_pct(uncontended.latency.p99,
-                              uncontended_raw.latency.p99)
-              << "%; corrupt reads: " << corrupt_reads
+    std::cout << "corrupt reads: " << corrupt_reads
               << (corrupt_reads == 0 ? "" : " (PROTOCOL BUG)") << "\n";
     std::cout << "publish cost: " << publish_ns << " ns/publish; "
               << "service replay " << 1e3 * service_result.offSeconds
@@ -444,20 +416,9 @@ main()
         .field("tornReads", hammered.tornReads)
         .endObject();
 
-    // The v2 integrity tax: identical read loops with verification
-    // off, plus the relative overhead the checksum adds.  corruptReads
-    // doubles as an in-band protocol assertion (nonzero fails the run).
-    json.beginObject("checksum");
-    writeNsSummary(json, "uncontendedNoVerify", uncontended_raw.latency,
-                   uncontended_raw.reads);
-    writeNsSummary(json, "hammeredNoVerify", hammered_raw.latency,
-                   hammered_raw.reads);
-    json.field("verifyOverheadPctP50",
-               overhead_pct(uncontended.latency.p50,
-                            uncontended_raw.latency.p50))
-        .field("verifyOverheadPctP99",
-               overhead_pct(uncontended.latency.p99,
-                            uncontended_raw.latency.p99))
+    // Checksum verdicts across both read loops: an in-band protocol
+    // assertion (nonzero fails the run).
+    json.beginObject("checksum")
         .field("corruptReads", corrupt_reads)
         .endObject();
 

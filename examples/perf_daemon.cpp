@@ -533,10 +533,9 @@ main(int argc, char **argv)
     std::printf("backend %s: %llu windows, mean modeled %.2f ms "
                 "(queue %.2f ms)\n",
                 stats.backendName.c_str(),
-                static_cast<unsigned long long>(
-                    stats.backend.windowsExecuted),
-                1e3 * stats.backend.modeledSeconds.mean(),
-                1e3 * stats.backend.queueWaitSeconds.mean());
+                static_cast<unsigned long long>(stats.totals.windowsRun),
+                1e3 * stats.totals.modeledWindowSeconds.mean(),
+                1e3 * stats.totals.backendQueueSeconds.mean());
     std::printf("sessions: %llu opened, %llu closed; records: %llu "
                 "ingested, %llu dropped; windows: %llu (%.1f EP "
                 "sweeps/window)\n",

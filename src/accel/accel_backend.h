@@ -67,7 +67,7 @@ struct AccelBackendConfig
     AcceleratorConfig engine;
 };
 
-/** Point-in-time pool statistics beyond core::BackendStats. */
+/** Point-in-time per-engine statistics of the pool. */
 struct AccelPoolStats
 {
     /** Jobs served by each engine. */
@@ -106,8 +106,6 @@ class AccelBackend : public core::InferenceBackend
      */
     core::WindowExecution execute(const core::WindowJob &job) override;
 
-    core::BackendStats stats() const override;
-
     /**
      * Live pool backlog on the stream clock: how long a window
      * released "now" would wait for the earliest engine.  This is the
@@ -137,7 +135,6 @@ class AccelBackend : public core::InferenceBackend
     std::string name_;
 
     mutable std::mutex mutex_;
-    core::BackendStats stats_;
     /** Stream time each engine becomes free. */
     std::vector<double> freeAt_;
     std::vector<std::uint64_t> engineJobs_;

@@ -24,27 +24,7 @@ HostBackend::execute(const WindowJob &job)
     windows.add();
     service_ns.record(
         static_cast<std::uint64_t>(exec.serviceSeconds * 1e9));
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.windowsExecuted;
-    stats_.queueWaitSeconds.push(exec.queueWaitSeconds);
-    stats_.serviceSeconds.push(exec.serviceSeconds);
-    stats_.modeledSeconds.push(exec.modeledSeconds);
     return exec;
-}
-
-BackendStats
-HostBackend::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-}
-
-void
-HostBackend::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_ = BackendStats{};
 }
 
 } // namespace core

@@ -23,10 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
-
-#include "common/stats.h"
 
 namespace bperf {
 namespace core {
@@ -110,15 +107,6 @@ struct WindowExecution
     WindowSpan span;
 };
 
-/** Aggregate accounting of one backend across every window it ran. */
-struct BackendStats
-{
-    std::uint64_t windowsExecuted = 0;
-    RunningStats queueWaitSeconds;
-    RunningStats serviceSeconds;
-    RunningStats modeledSeconds;
-};
-
 /**
  * Live modeled queue-depth snapshot of a backend's engine pool, on
  * the stream clock (seconds).  This is the latency signal the
@@ -165,9 +153,6 @@ class InferenceBackend
     /** Account one completed window; returns its modeled execution. */
     virtual WindowExecution execute(const WindowJob &job) = 0;
 
-    /** Aggregate statistics snapshot. */
-    virtual BackendStats stats() const = 0;
-
     /**
      * Live queue-depth snapshot.  The host path never queues, so the
      * default is an all-zero snapshot; pooled backends report their
@@ -186,8 +171,9 @@ class InferenceBackend
         return BackendQueueDepth{};
     }
 
-    /** Forget all queue state and statistics (bench reruns). */
-    virtual void reset() = 0;
+    /** Forget all queue state (bench reruns).  The host path keeps
+     * none. */
+    virtual void reset() {}
 };
 
 /**
@@ -199,13 +185,9 @@ class HostBackend : public InferenceBackend
   public:
     const std::string &name() const override { return name_; }
     WindowExecution execute(const WindowJob &job) override;
-    BackendStats stats() const override;
-    void reset() override;
 
   private:
     const std::string name_ = "host";
-    mutable std::mutex mutex_;
-    BackendStats stats_;
 };
 
 } // namespace core

@@ -96,7 +96,7 @@ struct FeedStats
     std::uint64_t okPolls = 0;         ///< Fresh consistent snapshots.
     std::uint64_t notFoundPolls = 0;   ///< Watched session had no slot.
     std::uint64_t tornPolls = 0;       ///< Retry budget exhausted live.
-    std::uint64_t writerDeadPolls = 0; ///< Frozen-odd slots (dead daemon).
+    std::uint64_t writerDeadPolls = 0; ///< Frozen-odd slots (see WriterDead).
     std::uint64_t corruptPolls = 0;    ///< Checksum-failed snapshots.
     std::uint64_t stalePolls = 0;      ///< Ok but older than the ceiling.
 

@@ -316,7 +316,6 @@ MonitorService::stats() const
     out.sessionsClosed = sessionsClosed_;
     out.totals = closedTotals_;
     out.backendName = backend_->name();
-    out.backend = backend_->stats();
     // Read the backlog at the controller's stream clock so an idle
     // service reports a drained queue, not the last-release snapshot.
     out.backendQueue = admission_.backendQueue();

@@ -104,9 +104,10 @@ struct ServiceStats
     std::size_t sessionsLive = 0;
     /** Sums over every session ever opened. */
     SessionStats totals;
-    /** Active execution backend and its cross-session accounting. */
+    /** Active execution backend (its per-window accounting is in
+     * `totals`: windowsRun, modeledWindowSeconds,
+     * backendQueueSeconds). */
     std::string backendName;
-    core::BackendStats backend;
     /** Live modeled queue depth of the backend's engine pool. */
     core::BackendQueueDepth backendQueue;
     /** Per-tenant admission accounting (empty when disabled). */

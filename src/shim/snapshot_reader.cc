@@ -198,7 +198,6 @@ SnapshotReader::~SnapshotReader()
 SnapshotReader::SnapshotReader(SnapshotReader &&other) noexcept
     : base_(other.base_), layout_(other.layout_), slots_(other.slots_),
       maxEvents_(other.maxEvents_), mappedBytes_(other.mappedBytes_),
-      verifyChecksums_(other.verifyChecksums_),
       retryProbe_(std::move(other.retryProbe_)),
       state_(std::move(other.state_))
 {
@@ -217,7 +216,6 @@ SnapshotReader::operator=(SnapshotReader &&other) noexcept
         slots_ = other.slots_;
         maxEvents_ = other.maxEvents_;
         mappedBytes_ = other.mappedBytes_;
-        verifyChecksums_ = other.verifyChecksums_;
         retryProbe_ = std::move(other.retryProbe_);
         state_ = std::move(other.state_);
         other.base_ = nullptr;
@@ -321,7 +319,7 @@ SnapshotReader::stats() const
 namespace {
 
 /**
- * Frozen-odd bookkeeping shared by peekSlot/readSlotImpl.  Tracks the
+ * Frozen-odd bookkeeping of the readSlotImpl retry loop.  Tracks the
  * *latest* odd value seen and how many consecutive attempts re-saw it
  * — any odd value, first observed at any attempt.  (The PR 7 code
  * only armed on the odd value of attempt 0, so a writer that died on
@@ -346,125 +344,46 @@ struct OddStreak
     void sawEven() { length = 0; }
 
     /** Dead if the same odd value held for the majority of the retry
-     * budget with no movement since: a live seqlock writer closes a
-     * publish within a handful of reader iterations, so a majority-
-     * of-budget freeze is a writer that will never finish. */
+     * budget with no movement since.  A running writer closes a
+     * publish within a handful of reader iterations; a writer that
+     * died, or one descheduled mid-publish, does not (the verdict
+     * cannot tell those two apart — see ReadStatus::WriterDead). */
     bool dead(std::size_t max_retries) const
     {
         return length >= max_retries / 2 + 1;
     }
 };
 
+/** How strongly a verdict says "the session may be here but cannot
+ * be served": a dead writer never resolves, corruption lasts until
+ * the next publish overwrites it, contention is transient. */
+int
+severity(ReadStatus status)
+{
+    switch (status) {
+      case ReadStatus::WriterDead: return 3;
+      case ReadStatus::Corrupt: return 2;
+      case ReadStatus::Torn: return 1;
+      case ReadStatus::Ok:
+      case ReadStatus::NotFound: break;
+    }
+    return 0;
+}
+
+/** The calling thread's copy target.  Reads copy into it and assign
+ * it to the caller's `out` only on Ok, so `out` is untouched by any
+ * other verdict and a steady-state read reuses both vectors. */
+PosteriorSnapshot &
+threadScratch()
+{
+    thread_local PosteriorSnapshot snap;
+    return snap;
+}
+
 } // namespace
 
 ReadStatus
-SnapshotReader::peekSlot(std::size_t slot, std::uint64_t &session_id,
-                         std::size_t max_retries) const
-{
-    const SlotHeader *s = slotAt(base_, layout_, slot);
-    {
-        const std::uint64_t seq_now =
-            s->seq.load(std::memory_order_relaxed);
-        if (const auto cached = checkQuarantine(slot, seq_now))
-            return *cached;
-    }
-    OddStreak odd;
-    for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
-        if (retryProbe_)
-            retryProbe_(attempt);
-        const std::uint64_t s1 = s->seq.load(std::memory_order_acquire);
-        if (s1 & 1) {
-            odd.sawOdd(s1);
-            continue;
-        }
-        odd.sawEven();
-        if (s1 == 0)
-            return ReadStatus::NotFound;
-        const std::uint64_t active =
-            s->active.load(std::memory_order_relaxed);
-        const std::uint64_t id =
-            s->sessionId.load(std::memory_order_relaxed);
-        if (!verifyChecksums_) {
-            std::atomic_thread_fence(std::memory_order_acquire);
-            if (s->seq.load(std::memory_order_relaxed) != s1)
-                continue;
-            if (active == 0)
-                return ReadStatus::NotFound;
-            session_id = id;
-            return ReadStatus::Ok;
-        }
-        // Fold every payload word into the checksum as it is read —
-        // nothing beyond {active, id} is stored, so the probe stays
-        // allocation-free while still catching a flipped word.  The
-        // words must be chained in the writer's order: closing even
-        // sequence, the fixed payload words in declaration order,
-        // then the SlotEvent words.
-        std::uint64_t acc = chainChecksum(kChecksumSeed, s1);
-        acc = chainChecksum(acc, active);
-        acc = chainChecksum(acc, id);
-        acc = chainChecksum(
-            acc, s->windowIndex.load(std::memory_order_relaxed));
-        acc = chainChecksum(acc,
-                            s->endSlice.load(std::memory_order_relaxed));
-        const std::uint64_t count =
-            s->eventCount.load(std::memory_order_relaxed);
-        acc = chainChecksum(acc, count);
-        acc = chainChecksum(
-            acc, s->publishNanos.load(std::memory_order_relaxed));
-        acc = chainChecksum(acc,
-                            s->engineId.load(std::memory_order_relaxed));
-        acc = chainChecksum(
-            acc, s->queueWaitBits.load(std::memory_order_relaxed));
-        acc = chainChecksum(
-            acc, s->serviceBits.load(std::memory_order_relaxed));
-        acc = chainChecksum(
-            acc, s->transferBits.load(std::memory_order_relaxed));
-        acc = chainChecksum(
-            acc, s->modeledBits.load(std::memory_order_relaxed));
-        if (count > maxEvents_) {
-            // An event count past the slot's capacity would walk the
-            // probe off the end of the segment.  If the sequence is
-            // stable the word itself is corrupt; if not, it was torn.
-            std::atomic_thread_fence(std::memory_order_acquire);
-            if (s->seq.load(std::memory_order_relaxed) != s1)
-                continue;
-            quarantine(slot, s1);
-            return ReadStatus::Corrupt;
-        }
-        const SlotEvent *entries = s->events();
-        for (std::uint64_t i = 0; i < count; ++i) {
-            acc = chainChecksum(
-                acc, entries[i].event.load(std::memory_order_relaxed));
-            acc = chainChecksum(
-                acc,
-                entries[i].meanBits.load(std::memory_order_relaxed));
-            acc = chainChecksum(
-                acc,
-                entries[i].stddevBits.load(std::memory_order_relaxed));
-        }
-        const std::uint64_t stored =
-            s->checksum.load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (s->seq.load(std::memory_order_relaxed) != s1)
-            continue;
-        if (acc != stored) {
-            quarantine(slot, s1);
-            return ReadStatus::Corrupt;
-        }
-        if (active == 0)
-            return ReadStatus::NotFound;
-        session_id = id;
-        return ReadStatus::Ok;
-    }
-    if (odd.dead(max_retries)) {
-        quarantine(slot, odd.value);
-        return ReadStatus::WriterDead;
-    }
-    return ReadStatus::Torn;
-}
-
-ReadStatus
-SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
+SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &snap,
                              std::size_t max_retries) const
 {
     bp_assert(slot < slots_,
@@ -477,9 +396,6 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
             return *cached;
     }
 
-    // Reused across retry attempts, so a contended read does not
-    // reallocate its counters vector per attempt.
-    PosteriorSnapshot snap;
     OddStreak odd;
     for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
         if (retryProbe_)
@@ -576,7 +492,7 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
         if (s->seq.load(std::memory_order_relaxed) != s1)
             continue; // torn: the writer moved under us
 
-        if (verifyChecksums_ && acc != stored) {
+        if (acc != stored) {
             // Stable even sequence, bad checksum: a payload word was
             // corrupted in place.  Detected and withheld — this is
             // the one path that must never fall through to Ok.
@@ -589,7 +505,6 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
         const std::uint64_t now = steadyNowNanos();
         snap.ageNanos =
             now > snap.publishNanos ? now - snap.publishNanos : 0;
-        out = std::move(snap);
         return ReadStatus::Ok;
     }
     if (odd.dead(max_retries)) {
@@ -603,7 +518,10 @@ ReadStatus
 SnapshotReader::readSlot(std::size_t slot, PosteriorSnapshot &out,
                          std::size_t max_retries) const
 {
-    const ReadStatus status = readSlotImpl(slot, out, max_retries);
+    PosteriorSnapshot &snap = threadScratch();
+    const ReadStatus status = readSlotImpl(slot, snap, max_retries);
+    if (status == ReadStatus::Ok)
+        out = snap;
     countRead(status);
     return status;
 }
@@ -612,69 +530,36 @@ ReadStatus
 SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
                      std::size_t max_retries) const
 {
-    bool torn = false;
-    bool writer_dead = false;
-    bool corrupt = false;
+    PosteriorSnapshot &snap = threadScratch();
     ReadStatus result = ReadStatus::NotFound;
-    for (std::size_t slot = 0; slot < slots_; ++slot) {
-        // Cheap probe first: only the target slot's full payload
-        // (and its counters vector) is copied, so the scan stays a
-        // bounded run of word reads per non-matching slot.
-        std::uint64_t id = 0;
-        const ReadStatus peek = peekSlot(slot, id, max_retries);
-        if (peek == ReadStatus::Torn) {
-            torn = true;
-            continue;
-        }
-        if (peek == ReadStatus::WriterDead) {
-            writer_dead = true;
-            continue;
-        }
-        if (peek == ReadStatus::Corrupt) {
-            corrupt = true;
-            continue;
-        }
-        if (peek != ReadStatus::Ok || id != session_id)
-            continue;
-        // Copy into a local first: `out` must not be clobbered with
-        // another session's snapshot if the slot was reallocated
-        // between probe and copy (a consumer may keep its last-known
-        // snapshot across a NotFound poll).
-        PosteriorSnapshot snap;
-        const ReadStatus status = readSlotImpl(slot, snap, max_retries);
-        if (status == ReadStatus::Torn) {
-            torn = true;
-            continue;
-        }
-        if (status == ReadStatus::WriterDead) {
-            writer_dead = true;
-            continue;
-        }
-        if (status == ReadStatus::Corrupt) {
-            corrupt = true;
-            continue;
-        }
-        // The slot may have been invalidated or handed to another
-        // session between probe and copy; keep scanning if so.
-        if (status == ReadStatus::Ok && snap.sessionId == session_id) {
-            out = std::move(snap);
-            countRead(ReadStatus::Ok);
-            return ReadStatus::Ok;
+    // Pass 0 copies only slots whose session-id word, loaded without
+    // validation, matches: the word is a hint, so a non-matching slot
+    // costs one load, and the validated copy decides (the slot may
+    // have been invalidated or handed to another session since).
+    // Pass 1 runs only if that found nothing: a degraded slot could
+    // be the session's even though its hint did not match (a flipped
+    // id word, a writer that died before storing it), so every slot
+    // is copied and the strongest verdict reported — WriterDead over
+    // Corrupt over Torn over NotFound, so a consumer retries a
+    // contended slot instead of concluding the session is gone, and
+    // learns of a dead or corrupt one.
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t slot = 0; slot < slots_; ++slot) {
+            if (pass == 0 &&
+                slotAt(base_, layout_, slot)
+                        ->sessionId.load(std::memory_order_relaxed) !=
+                    session_id)
+                continue;
+            const ReadStatus status = readSlotImpl(slot, snap, max_retries);
+            if (status == ReadStatus::Ok && snap.sessionId == session_id) {
+                out = snap;
+                countRead(ReadStatus::Ok);
+                return ReadStatus::Ok;
+            }
+            if (pass == 1 && severity(status) > severity(result))
+                result = status;
         }
     }
-    // A degraded slot could have been the session's; report the
-    // strongest signal so the consumer reacts correctly — WriterDead
-    // over Corrupt (a dead writer never resolves; corruption can be
-    // overwritten by the next publish), Corrupt over Torn (the
-    // payload is provably bad, not merely contended), Torn over
-    // NotFound (the consumer should retry instead of concluding the
-    // session is gone).
-    if (writer_dead)
-        result = ReadStatus::WriterDead;
-    else if (corrupt)
-        result = ReadStatus::Corrupt;
-    else if (torn)
-        result = ReadStatus::Torn;
     countRead(result);
     return result;
 }
@@ -682,14 +567,14 @@ SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
 std::vector<std::uint64_t>
 SnapshotReader::sessions(ScanHealth *health) const
 {
+    PosteriorSnapshot &snap = threadScratch();
     std::vector<std::uint64_t> ids;
     ScanHealth tally;
     for (std::size_t slot = 0; slot < slots_; ++slot) {
-        std::uint64_t id = 0;
-        switch (peekSlot(slot, id, kDefaultMaxRetries)) {
+        switch (readSlotImpl(slot, snap, kDefaultMaxRetries)) {
           case ReadStatus::Ok:
             ++tally.active;
-            ids.push_back(id);
+            ids.push_back(snap.sessionId);
             break;
           case ReadStatus::NotFound:
             ++tally.empty;

@@ -19,8 +19,8 @@
  *
  * Thread contract: all read methods are safe from any thread,
  * concurrently with the writer; the quarantine table and stats
- * counters are atomics.  setVerifyChecksums()/setRetryProbe()
- * configure the reader and must not race reads.
+ * counters are atomics.  setRetryProbe() configures the reader and
+ * must not race reads.
  */
 
 #ifndef BPERF_SHIM_SNAPSHOT_READER_H
@@ -57,13 +57,15 @@ enum class ReadStatus
      * under us (or was descheduled between moves).  Transient; try
      * again. */
     Torn,
-    /** The slot's sequence froze on one odd value — a publish in
-     * flight that never completed.  A live seqlock writer advances
-     * the sequence within a handful of reader iterations, so a
-     * frozen odd sequence means the writer died (or was killed)
-     * mid-publish, leaving the slot odd forever.  Persistent until
-     * the daemon restarts and reinitialises the segment; consumers
-     * should treat the session as lost, not poll it as contended. */
+    /** The slot's sequence held one odd value for the majority of
+     * the retry budget — a publish in flight that did not complete
+     * while we watched.  A writer that died (or was killed)
+     * mid-publish leaves the slot odd forever, but so, for a whole
+     * scheduler quantum, does a live writer descheduled between its
+     * odd and even stores: the verdict alone does not tell the two
+     * apart.  Before treating the session as lost, check
+     * SnapshotReader::writerIdleNanos() — a dead writer's heartbeat
+     * stops advancing, a live one's keeps being re-stamped. */
     WriterDead,
     /** The payload was copied under a stable even sequence but does
      * not match the slot's checksum: a payload or checksum word was
@@ -223,14 +225,21 @@ class SnapshotReader
     std::vector<std::uint64_t> sessions(ScanHealth *health = nullptr) const;
 
     /**
-     * Copy the latest snapshot of `session_id` into `out`.  Scans the
-     * slot table (slot count is small by design).  Wait-free except
-     * for seqlock retries, which are bounded by `max_retries`.
+     * Copy the latest snapshot of `session_id` into `out`.  A slot's
+     * unvalidated session-id word is the hint: only slots whose hint
+     * matches are copied, and the first validated Ok copy of the
+     * session wins.  Only if none does, every slot is copied and the
+     * strongest degraded verdict is reported (WriterDead > Corrupt >
+     * Torn > NotFound), so a target whose own id word was flipped
+     * still reads Corrupt.  Wait-free except for seqlock retries,
+     * bounded by `max_retries` per slot.  `out` is written only on
+     * Ok, reusing its storage.
      */
     ReadStatus read(std::uint64_t session_id, PosteriorSnapshot &out,
                     std::size_t max_retries = kDefaultMaxRetries) const;
 
-    /** Copy slot `slot` directly (consumers that cached a slot). */
+    /** Copy slot `slot` directly (consumers that cached a slot);
+     * `out` is written only on Ok. */
     ReadStatus readSlot(std::size_t slot, PosteriorSnapshot &out,
                         std::size_t max_retries = kDefaultMaxRetries) const;
 
@@ -238,17 +247,11 @@ class SnapshotReader
     ReaderStats stats() const;
 
     /**
-     * Disable (or re-enable) payload checksum verification.  Only for
-     * measurement — bench_shim_read uses it to price the verify step;
-     * consumers must leave it on.
-     */
-    void setVerifyChecksums(bool verify) { verifyChecksums_ = verify; }
-
-    /**
      * Chaos/test instrumentation: invoked at the top of every retry
-     * attempt of readSlot()/peekSlot() with the attempt index.  Lets
-     * a test mutate the slot at a deterministic point mid-scan.  Keep
-     * unset in production (one branch per attempt when unset).
+     * attempt of every slot copy (readSlot(), read(), sessions())
+     * with the attempt index.  Lets a test mutate the slot at a
+     * deterministic point mid-scan.  Keep unset in production (one
+     * branch per attempt when unset).
      */
     void setRetryProbe(std::function<void(std::size_t)> probe)
     {
@@ -261,17 +264,12 @@ class SnapshotReader
     /** Allocate the quarantine table + stats block for slots_. */
     void initState();
 
-    /** Seq-validated read of just a slot's {active, session id} —
-     * the cheap probe read()/sessions() scan with, so the full
-     * payload vector is only materialised for the target slot.  With
-     * verification on it still folds every payload word into the
-     * checksum (without storing them), so scans detect Corrupt too. */
-    ReadStatus peekSlot(std::size_t slot, std::uint64_t &session_id,
-                        std::size_t max_retries) const;
-
-    /** readSlot() without stats counting (read() aggregates its own
-     * probe outcomes into one counted result). */
-    ReadStatus readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
+    /** The one validated seqlock copy loop behind readSlot(), read()
+     * and sessions(): copies `slot` into `snap` and verifies it
+     * against the checksum.  `snap` is scratch, clobbered on every
+     * verdict; its fields are a consistent snapshot only on Ok.  Not
+     * counted in ReaderStats (callers count their own verdict). */
+    ReadStatus readSlotImpl(std::size_t slot, PosteriorSnapshot &snap,
                             std::size_t max_retries) const;
 
     /** Quarantine fast path: if `slot` is quarantined and its
@@ -293,7 +291,6 @@ class SnapshotReader
     std::size_t maxEvents_ = 0;
     /** Bytes to munmap at destruction; 0 for borrowed mappings. */
     std::size_t mappedBytes_ = 0;
-    bool verifyChecksums_ = true;
     std::function<void(std::size_t)> retryProbe_;
 
     /** Mutable read-side state (atomics; moved by pointer). */

@@ -84,6 +84,66 @@ mapSegment(const std::string &shm_name, std::size_t bytes,
     return static_cast<std::byte *>(mem);
 }
 
+/**
+ * The seqlock publish write() and invalidate() share: open the
+ * sequence odd, store the fixed payload words and `n` event entries,
+ * fold the checksum, and return the closing even sequence for the
+ * caller to store (release) once it decides to complete the publish.
+ *
+ * The release fence keeps the payload stores after the odd store; the
+ * caller's final release store keeps them before the even store.  The
+ * checksum is folded over the exact word values stored, inside the
+ * critical section, so any bit that flips after the even store no
+ * longer matches it.
+ *
+ * The in-flight marker must be odd even when the previous publish was
+ * abandoned mid-flight and left the sequence odd (a fault-injected
+ * writer, or a future writer resuming a slot): blindly storing s0 + 1
+ * there would invert the parity protocol and publish this payload
+ * under an odd "closing" sequence.
+ */
+std::uint64_t
+storePayload(SlotHeader *s,
+             const std::uint64_t (&fixed)[kSlotFixedPayloadWords],
+             const sim::EventId *events,
+             const core::PosteriorPoint *posterior, std::size_t n)
+{
+    const std::uint64_t s0 = s->seq.load(std::memory_order_relaxed);
+    const std::uint64_t s_open = s0 + 1 + (s0 & 1);
+    s->seq.store(s_open, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+
+    s->active.store(fixed[0], std::memory_order_relaxed);
+    s->sessionId.store(fixed[1], std::memory_order_relaxed);
+    s->windowIndex.store(fixed[2], std::memory_order_relaxed);
+    s->endSlice.store(fixed[3], std::memory_order_relaxed);
+    s->eventCount.store(fixed[4], std::memory_order_relaxed);
+    s->publishNanos.store(fixed[5], std::memory_order_relaxed);
+    s->engineId.store(fixed[6], std::memory_order_relaxed);
+    s->queueWaitBits.store(fixed[7], std::memory_order_relaxed);
+    s->serviceBits.store(fixed[8], std::memory_order_relaxed);
+    s->transferBits.store(fixed[9], std::memory_order_relaxed);
+    s->modeledBits.store(fixed[10], std::memory_order_relaxed);
+
+    std::uint64_t acc = chainChecksum(kChecksumSeed, s_open + 1);
+    for (std::size_t i = 0; i < kSlotFixedPayloadWords; ++i)
+        acc = chainChecksum(acc, fixed[i]);
+    SlotEvent *entries = s->events();
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t ev = events[i];
+        const std::uint64_t mean = doubleBits(posterior[i].mean);
+        const std::uint64_t stddev = doubleBits(posterior[i].stddev);
+        entries[i].event.store(ev, std::memory_order_relaxed);
+        entries[i].meanBits.store(mean, std::memory_order_relaxed);
+        entries[i].stddevBits.store(stddev, std::memory_order_relaxed);
+        acc = chainChecksum(acc, ev);
+        acc = chainChecksum(acc, mean);
+        acc = chainChecksum(acc, stddev);
+    }
+    s->checksum.store(acc, std::memory_order_relaxed);
+    return s_open + 1;
+}
+
 } // namespace
 
 SnapshotRegion::SnapshotRegion(SnapshotRegionConfig config,
@@ -204,23 +264,6 @@ SnapshotRegion::write(std::size_t slot, std::uint64_t session_id,
     const std::uint64_t publish_no =
         writeCalls_.fetch_add(1, std::memory_order_relaxed) + 1;
 
-    // Seqlock write: odd sequence -> payload + checksum -> even
-    // sequence.  The release fence keeps the payload stores after the
-    // odd store; the final release store keeps them before the even
-    // store.  The checksum is folded over the exact word values
-    // stored, inside the critical section, so any bit that flips
-    // after the even store no longer matches it.
-    //
-    // The in-flight marker must be odd even when the previous publish
-    // was abandoned mid-flight and left the sequence odd (a fault-
-    // injected writer, or a future writer resuming a slot): blindly
-    // storing s0 + 1 there would invert the parity protocol and
-    // publish this window under an odd "closing" sequence.
-    const std::uint64_t s0 = s->seq.load(std::memory_order_relaxed);
-    const std::uint64_t s_open = s0 + 1 + (s0 & 1);
-    s->seq.store(s_open, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-
     const std::uint64_t fixed[kSlotFixedPayloadWords] = {
         1, // active
         session_id,
@@ -234,34 +277,8 @@ SnapshotRegion::write(std::size_t slot, std::uint64_t session_id,
         doubleBits(execution.transferSeconds),
         doubleBits(execution.modeledSeconds),
     };
-    s->active.store(fixed[0], std::memory_order_relaxed);
-    s->sessionId.store(fixed[1], std::memory_order_relaxed);
-    s->windowIndex.store(fixed[2], std::memory_order_relaxed);
-    s->endSlice.store(fixed[3], std::memory_order_relaxed);
-    s->eventCount.store(fixed[4], std::memory_order_relaxed);
-    s->publishNanos.store(fixed[5], std::memory_order_relaxed);
-    s->engineId.store(fixed[6], std::memory_order_relaxed);
-    s->queueWaitBits.store(fixed[7], std::memory_order_relaxed);
-    s->serviceBits.store(fixed[8], std::memory_order_relaxed);
-    s->transferBits.store(fixed[9], std::memory_order_relaxed);
-    s->modeledBits.store(fixed[10], std::memory_order_relaxed);
-
-    std::uint64_t acc = chainChecksum(kChecksumSeed, s_open + 1);
-    for (std::size_t i = 0; i < kSlotFixedPayloadWords; ++i)
-        acc = chainChecksum(acc, fixed[i]);
-    SlotEvent *entries = s->events();
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t ev = events[i];
-        const std::uint64_t mean = doubleBits(posterior[i].mean);
-        const std::uint64_t stddev = doubleBits(posterior[i].stddev);
-        entries[i].event.store(ev, std::memory_order_relaxed);
-        entries[i].meanBits.store(mean, std::memory_order_relaxed);
-        entries[i].stddevBits.store(stddev, std::memory_order_relaxed);
-        acc = chainChecksum(acc, ev);
-        acc = chainChecksum(acc, mean);
-        acc = chainChecksum(acc, stddev);
-    }
-    s->checksum.store(acc, std::memory_order_relaxed);
+    const std::uint64_t s_close =
+        storePayload(s, fixed, events.data(), posterior.data(), n);
 
     if (faults_.armed) {
         if (faults_.dieAtPublish == publish_no) {
@@ -273,7 +290,7 @@ SnapshotRegion::write(std::size_t slot, std::uint64_t session_id,
             return; // slot left odd, publish uncounted
     }
 
-    s->seq.store(s_open + 1, std::memory_order_release);
+    s->seq.store(s_close, std::memory_order_release);
     auto *header = reinterpret_cast<RegionHeader *>(base_);
     header->publishes.fetch_add(1, std::memory_order_relaxed);
     header->heartbeatNanos.store(publish_nanos,
@@ -295,30 +312,13 @@ SnapshotRegion::invalidate(std::size_t slot)
     bp_assert(slot < config_.slots, "snapshot invalidate of slot "
                                         << slot << " of "
                                         << config_.slots);
+    // The all-zero payload with no events: the checksum covers one
+    // well-defined state.  Not a publish — no count, no heartbeat, no
+    // fault hook.
     SlotHeader *s = slotAt(base_, layout_, slot);
-    const std::uint64_t s0 = s->seq.load(std::memory_order_relaxed);
-    const std::uint64_t s_open = s0 + 1 + (s0 & 1); // odd, see write()
-    s->seq.store(s_open, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    // Zero the whole fixed payload (not just active/sessionId) so the
-    // checksum covers one well-defined state: an invalidated slot is
-    // all-zeros with event count 0.
-    s->active.store(0, std::memory_order_relaxed);
-    s->sessionId.store(0, std::memory_order_relaxed);
-    s->windowIndex.store(0, std::memory_order_relaxed);
-    s->endSlice.store(0, std::memory_order_relaxed);
-    s->eventCount.store(0, std::memory_order_relaxed);
-    s->publishNanos.store(0, std::memory_order_relaxed);
-    s->engineId.store(0, std::memory_order_relaxed);
-    s->queueWaitBits.store(0, std::memory_order_relaxed);
-    s->serviceBits.store(0, std::memory_order_relaxed);
-    s->transferBits.store(0, std::memory_order_relaxed);
-    s->modeledBits.store(0, std::memory_order_relaxed);
-    std::uint64_t acc = chainChecksum(kChecksumSeed, s_open + 1);
-    for (std::size_t i = 0; i < kSlotFixedPayloadWords; ++i)
-        acc = chainChecksum(acc, 0);
-    s->checksum.store(acc, std::memory_order_relaxed);
-    s->seq.store(s_open + 1, std::memory_order_release);
+    const std::uint64_t zeros[kSlotFixedPayloadWords] = {};
+    s->seq.store(storePayload(s, zeros, nullptr, nullptr, 0),
+                 std::memory_order_release);
 }
 
 } // namespace shim

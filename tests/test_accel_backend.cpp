@@ -80,15 +80,6 @@ TEST(HostBackend, StampsMeasuredTimeWithoutQueueing)
     EXPECT_DOUBLE_EQ(exec.serviceSeconds, 2.5e-3);
     EXPECT_DOUBLE_EQ(exec.queueWaitSeconds, 0.0);
     EXPECT_EQ(exec.engineId, 0u);
-
-    backend.execute(job);
-    const core::BackendStats stats = backend.stats();
-    EXPECT_EQ(stats.windowsExecuted, 2u);
-    EXPECT_DOUBLE_EQ(stats.modeledSeconds.mean(), 2.5e-3);
-    EXPECT_DOUBLE_EQ(stats.queueWaitSeconds.max(), 0.0);
-
-    backend.reset();
-    EXPECT_EQ(backend.stats().windowsExecuted, 0u);
 }
 
 TEST(AccelBackend, ModeledLatencyMonotoneInQueueDepth)
@@ -156,7 +147,6 @@ TEST(AccelBackend, EnginePoolBalancesAndAccounts)
     for (std::uint64_t jobs : pool.engineJobs)
         EXPECT_EQ(jobs, 3u); // identical jobs spread evenly
     EXPECT_GT(pool.makespanSeconds, 0.0);
-    EXPECT_EQ(backend.stats().windowsExecuted, 9u);
 }
 
 TEST(AccelBackend, CapiBeatsPcieOnTheReadPath)
@@ -220,7 +210,10 @@ TEST(AccelBackend, PosteriorsIdenticalToHostPath)
         EXPECT_GT(exec.serviceSeconds, 0.0);
         EXPECT_GE(exec.modeledSeconds, exec.serviceSeconds);
     }
-    EXPECT_EQ(backend.stats().windowsExecuted, accel.windowsRun);
+    std::uint64_t pool_jobs = 0;
+    for (std::uint64_t jobs : backend.poolStats().engineJobs)
+        pool_jobs += jobs;
+    EXPECT_EQ(pool_jobs, accel.windowsRun);
 }
 
 TEST(AccelBackend, ServiceSelectsAndSharesTheBackend)
@@ -241,10 +234,8 @@ TEST(AccelBackend, ServiceSelectsAndSharesTheBackend)
         daemon.ingestBatch(id, service::recordStream(run));
         auto report = daemon.close(id);
         EXPECT_TRUE(report.has_value());
-        const service::ServiceStats stats = daemon.stats();
-        EXPECT_EQ(stats.backend.windowsExecuted,
-                  report->stats.windowsRun);
-        return std::make_pair(std::move(*report), stats.backendName);
+        return std::make_pair(std::move(*report),
+                              daemon.stats().backendName);
     };
 
     const auto [host_report, host_name] =

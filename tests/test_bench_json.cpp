@@ -172,10 +172,9 @@ TEST(JsonWriter, AccelServiceBenchSchemaIsValid)
             << key;
 }
 
-/** The exact schema bench_shim_read.cpp writes (layout v2: the
- * `checksum` section carries the verify-off read latencies, the
- * relative verification overhead, and the corruptReads protocol
- * assertion — zero in any healthy run). */
+/** The exact schema bench_shim_read.cpp writes (the `checksum`
+ * section carries the corruptReads protocol assertion — zero in any
+ * healthy run). */
 TEST(JsonWriter, ShimReadBenchSchemaIsValid)
 {
     bench::JsonWriter json;
@@ -207,13 +206,7 @@ TEST(JsonWriter, ShimReadBenchSchemaIsValid)
             .field("tornReads", 3)
             .endObject();
     }
-    json.beginObject("checksum");
-    ns_summary("uncontendedNoVerify");
-    ns_summary("hammeredNoVerify");
-    json.field("verifyOverheadPctP50", 4.5)
-        .field("verifyOverheadPctP99", 6.1)
-        .field("corruptReads", 0)
-        .endObject();
+    json.beginObject("checksum").field("corruptReads", 0).endObject();
     json.beginObject("writer")
         .field("publishNs", 210.0)
         .field("serviceOffSeconds", 1.2)
@@ -229,10 +222,9 @@ TEST(JsonWriter, ShimReadBenchSchemaIsValid)
     const std::string doc = json.str();
     EXPECT_TRUE(JsonChecker(doc).valid());
     for (const char *key :
-         {"uncontended", "hammered", "checksum", "uncontendedNoVerify",
-          "hammeredNoVerify", "verifyOverheadPctP50",
-          "verifyOverheadPctP99", "corruptReads", "readLatency",
-          "staleness", "publishNs", "posteriorsBitIdentical"})
+         {"uncontended", "hammered", "checksum", "corruptReads",
+          "readLatency", "staleness", "publishNs",
+          "posteriorsBitIdentical"})
         EXPECT_NE(doc.find('"' + std::string(key) + "\": "),
                   std::string::npos)
             << key;

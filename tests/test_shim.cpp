@@ -352,6 +352,95 @@ TEST(SnapshotReader, SessionsReportsScanHealth)
     EXPECT_EQ(health.degraded(), 2u);
 }
 
+TEST(SnapshotReader, OkReadReusesStorageAndMissLeavesItUntouched)
+{
+    SnapshotRegion region(SnapshotRegionConfig{4, 8});
+    SnapshotReader reader(region);
+    const std::vector<sim::EventId> events = {1, 2, 3};
+    const std::vector<core::PosteriorPoint> posterior = {
+        {10.0, 1.0}, {20.0, 2.0}, {30.0, 3.0}};
+    region.write(1, 3, 0, 5, sampleExecution(), events, posterior, 1);
+
+    PosteriorSnapshot snap;
+    ASSERT_EQ(reader.read(3, snap), ReadStatus::Ok);
+    const SnapshotCounter *storage = snap.counters.data();
+    region.write(1, 3, 1, 6, sampleExecution(), events, posterior, 2);
+    ASSERT_EQ(reader.read(3, snap), ReadStatus::Ok);
+    EXPECT_EQ(snap.windowIndex, 1u);
+    // A steady-state Ok read copies into the caller's storage instead
+    // of handing it a fresh vector.
+    EXPECT_EQ(snap.counters.data(), storage);
+
+    // Misses write nothing: a consumer keeps its last-known snapshot.
+    EXPECT_EQ(reader.read(99, snap), ReadStatus::NotFound);
+    EXPECT_EQ(reader.readSlot(0, snap), ReadStatus::NotFound);
+    EXPECT_EQ(snap.sessionId, 3u);
+    EXPECT_EQ(snap.windowIndex, 1u);
+    EXPECT_EQ(snap.endSlice, 6u);
+    EXPECT_EQ(snap.counters.data(), storage);
+    ASSERT_EQ(snap.counters.size(), 3u);
+    EXPECT_EQ(doubleBits(snap.counters[2].posterior.mean),
+              doubleBits(30.0));
+}
+
+TEST(SnapshotReader, SlotHandedOverBetweenHintAndCopyReadsNotFound)
+{
+    SnapshotRegion region(SnapshotRegionConfig{2, 4});
+    const std::vector<sim::EventId> events = {1};
+    const std::vector<core::PosteriorPoint> posterior = {{4.0, 0.5}};
+    region.write(0, 5, 0, 3, sampleExecution(), events, posterior, 1);
+
+    SnapshotReader reader(region);
+    PosteriorSnapshot snap;
+    ASSERT_EQ(reader.read(5, snap), ReadStatus::Ok);
+
+    // Slot 0's id word still says 5 when the scan matches it; the
+    // session closes and session 6 takes the slot over before the
+    // copy's first attempt.  The validated copy sees 6, so the read
+    // must not serve it as 5.
+    bool handed = false;
+    reader.setRetryProbe([&](std::size_t) {
+        if (handed)
+            return;
+        handed = true;
+        region.invalidate(0);
+        region.write(0, 6, 0, 4, sampleExecution(), events, posterior, 2);
+    });
+    EXPECT_EQ(reader.read(5, snap), ReadStatus::NotFound);
+    EXPECT_TRUE(handed);
+    EXPECT_EQ(snap.sessionId, 5u);
+    EXPECT_EQ(snap.endSlice, 3u);
+    EXPECT_EQ(snap.publishNanos, 1u);
+
+    reader.setRetryProbe(nullptr);
+    ASSERT_EQ(reader.read(6, snap), ReadStatus::Ok);
+    EXPECT_EQ(snap.endSlice, 4u);
+}
+
+TEST(SnapshotReader, SessionInLastSlotOfFullTableReadsOk)
+{
+    constexpr std::size_t kSlots = 64;
+    SnapshotRegion region(SnapshotRegionConfig{kSlots, 2});
+    const std::vector<sim::EventId> events = {1};
+    for (std::size_t slot = 0; slot < kSlots; ++slot) {
+        const std::vector<core::PosteriorPoint> posterior = {
+            {static_cast<double>(slot), 0.5}};
+        region.write(slot, 100 + slot, slot, slot, sampleExecution(),
+                     events, posterior, slot + 1);
+    }
+
+    SnapshotReader reader(region);
+    PosteriorSnapshot snap;
+    ASSERT_EQ(reader.read(100 + kSlots - 1, snap), ReadStatus::Ok);
+    EXPECT_EQ(snap.sessionId, 100 + kSlots - 1);
+    EXPECT_EQ(snap.windowIndex, kSlots - 1);
+    ASSERT_EQ(snap.counters.size(), 1u);
+    EXPECT_EQ(doubleBits(snap.counters[0].posterior.mean),
+              doubleBits(static_cast<double>(kSlots - 1)));
+    EXPECT_EQ(reader.sessions().size(), kSlots);
+    EXPECT_EQ(reader.read(100 + kSlots, snap), ReadStatus::NotFound);
+}
+
 TEST(SnapshotReader, WriterHeartbeatTracksPublishes)
 {
     SnapshotRegion region(SnapshotRegionConfig{1, 2});

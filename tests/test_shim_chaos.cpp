@@ -277,6 +277,40 @@ TEST(ShimChaos, InjectedBitFlipReadsCorruptThenHeals)
 }
 
 /**
+ * A flip of the target slot's session-id word: the by-session scan
+ * finds the slot by that word, so it no longer points at the slot —
+ * the read must still report the corruption (and quarantine the
+ * slot) rather than conclude the session is gone.
+ */
+TEST(ShimChaos, FlippedSessionIdWordReadsCorruptNotNotFound)
+{
+    SnapshotRegion region(SnapshotRegionConfig{4, 4});
+    WriterFaultInjection faults;
+    faults.flipAtPublish = 3;
+    faults.flipWordIndex = 3; // seq, checksum, active, then sessionId
+    faults.flipMask = 1ull << 5;
+    region.setFaultInjection(faults);
+    SnapshotReader reader(region);
+    PosteriorSnapshot snap;
+
+    publishSession(region, 0, 1, 0, 100);
+    publishSession(region, 1, 2, 0, 101);
+    publishSession(region, 2, 3, 0, 102); // flips after completing
+    EXPECT_EQ(reader.read(3, snap), ReadStatus::Corrupt);
+    EXPECT_EQ(reader.stats().quarantinedSlots, 1u);
+    ASSERT_EQ(reader.read(2, snap), ReadStatus::Ok);
+    EXPECT_EQ(snap.sessionId, 2u);
+    ScanHealth health;
+    EXPECT_EQ(reader.sessions(&health).size(), 2u);
+    EXPECT_EQ(health.corrupt, 1u);
+
+    publishSession(region, 2, 3, 1, 103); // rewrite heals the flip
+    ASSERT_EQ(reader.read(3, snap), ReadStatus::Ok);
+    EXPECT_EQ(snap.windowIndex, 1u);
+    EXPECT_EQ(reader.stats().quarantinedSlots, 0u);
+}
+
+/**
  * Stochastic SEU storm: a flipper thread XORs random bits into random
  * slot words (sequence, checksum, payload — anything) while a writer
  * hammers the slot and a reader polls it.  The invariant under test
